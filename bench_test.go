@@ -1,12 +1,12 @@
 // Benchmarks regenerating the paper's evaluation: one benchmark per
-// table/figure (the printable series come from cmd/ccfit-figures; the
+// table/figure (the printable series come from cmd/ccfit-run; the
 // benches here run the same experiments end to end and report the
 // headline number of each figure as a custom metric), plus ablation
 // benches for the design parameters DESIGN.md calls out.
 //
 // Figure-8 benches run a time-scaled variant (same code path, same
 // burst structure, 2 ms instead of 4 ms) so `go test -bench=.` stays
-// tractable; cmd/ccfit-figures runs the full-length version.
+// tractable; cmd/ccfit-run runs the full-length version.
 package ccfit_test
 
 import (

@@ -1,6 +1,6 @@
 // Command ccfit-serve is the long-running campaign service: it accepts
-// campaign submissions (the same experiment/sweep specs ccfit-run
-// consumes) over HTTP+JSON, expands them into jobs, and schedules them
+// campaign submissions (the specs every ccfit-run mode builds) over
+// HTTP+JSON, expands them into jobs, and schedules them
 // across a worker pool with the content-addressed result cache as the
 // shared dedup layer. Campaigns are journaled to disk and resume after
 // a crash or restart; overlapping or resubmitted campaigns skip every

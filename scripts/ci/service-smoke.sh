@@ -7,7 +7,12 @@
 #      stdout to a plain local `ccfit-run fig7a`.
 #   2. Resubmitting the same campaign must be served entirely from the
 #      shared result cache (metrics assert zero fresh simulations).
-#   3. Kill-and-restart: the server is SIGTERMed mid-campaign (graceful
+#   3. The other ccfit-run modes go through the same path: a parameter
+#      sweep (one campaign per value) and a load curve must each print
+#      the same bytes locally and with -server.
+#   4. `-seeds 0` means one seed: it must print the same bytes as
+#      `-seeds 1`.
+#   5. Kill-and-restart: the server is SIGTERMed mid-campaign (graceful
 #      drain), restarted on the same address over the same journal and
 #      cache, and the waiting client rides through; the resumed
 #      campaign's rendered output must still be byte-identical to the
@@ -61,6 +66,19 @@ if [ "$done_before" != "$done_after" ]; then
     echo "FAIL: resubmission ran $((done_after - done_before)) fresh simulations, want 0"
     exit 1
 fi
+
+echo "== remote sweep and load curve match local runs"
+for mode in "-sweep islip -schemes CCFIT fig7a" \
+    "-loadcurve 2 -schemes 1Q,CCFIT -loads 0.4,0.8 -ms 0.5"; do
+    # $mode is unquoted on purpose: it splits into separate arguments.
+    "$workdir/ccfit-run" -server "$url" $mode > "$workdir/mode-remote.out"
+    "$workdir/ccfit-run" $mode > "$workdir/mode-local.out"
+    diff "$workdir/mode-local.out" "$workdir/mode-remote.out"
+done
+
+echo "== -seeds 0 renders like -seeds 1"
+"$workdir/ccfit-run" -seeds 0 fig7a > "$workdir/seeds0.out"
+diff "$workdir/local.out" "$workdir/seeds0.out"
 
 echo "== kill-and-restart mid-campaign"
 # A multi-seed campaign is long enough to interrupt; the client's Wait
