@@ -5,6 +5,19 @@ import (
 	"testing/quick"
 )
 
+// matchPred records every request req(i,o) reports (with priority
+// prio(i,o); prio may be nil) and runs one Match.
+func matchPred(s *ISlip, req, prio func(in, out int) bool) []int {
+	for i := 0; i < s.in; i++ {
+		for o := 0; o < s.out; o++ {
+			if req(i, o) {
+				s.Request(i, o, prio != nil && prio(i, o))
+			}
+		}
+	}
+	return s.Match()
+}
+
 // reqMatrix adapts a [][]bool to the request callback.
 func reqMatrix(m [][]bool) func(i, o int) bool {
 	return func(i, o int) bool { return m[i][o] }
@@ -18,7 +31,7 @@ func TestMatchIsAMatching(t *testing.T) {
 		{false, false, true, true},
 		{false, false, false, true},
 	}
-	m := s.Match(reqMatrix(req), nil)
+	m := matchPred(s, reqMatrix(req), nil)
 	seenOut := map[int]bool{}
 	for i, o := range m {
 		if o == -1 {
@@ -52,7 +65,7 @@ func TestSingleContendedOutputRotates(t *testing.T) {
 	s := NewISlip(3, 1, 1)
 	wins := make([]int, 3)
 	for c := 0; c < 30; c++ {
-		m := s.Match(func(i, o int) bool { return true }, nil)
+		m := matchPred(s, func(i, o int) bool { return true }, nil)
 		won := -1
 		for i, o := range m {
 			if o == 0 {
@@ -76,7 +89,7 @@ func TestSingleContendedOutputRotates(t *testing.T) {
 
 func TestNoRequestsNoMatch(t *testing.T) {
 	s := NewISlip(2, 2, 2)
-	m := s.Match(func(i, o int) bool { return false }, nil)
+	m := matchPred(s, func(i, o int) bool { return false }, nil)
 	for i, o := range m {
 		if o != -1 {
 			t.Fatalf("input %d matched %d with no requests", i, o)
@@ -89,7 +102,7 @@ func TestPriorityWinsGrant(t *testing.T) {
 	// All inputs request output 0; input 2 has priority (a BECN at its
 	// head). It must win regardless of pointer position.
 	for c := 0; c < 8; c++ {
-		m := s.Match(
+		m := matchPred(s,
 			func(i, o int) bool { return true },
 			func(i, o int) bool { return i == 2 },
 		)
@@ -110,7 +123,7 @@ func TestMultipleIterationsImprove(t *testing.T) {
 	// outputs grant input 0 in iteration 1, input 1 only matches in
 	// iteration 2.
 	s1 := NewISlip(2, 2, 1)
-	m1 := s1.Match(func(i, o int) bool { return true }, nil)
+	m1 := matchPred(s1, func(i, o int) bool { return true }, nil)
 	matched1 := 0
 	for _, o := range m1 {
 		if o != -1 {
@@ -118,7 +131,7 @@ func TestMultipleIterationsImprove(t *testing.T) {
 		}
 	}
 	s2 := NewISlip(2, 2, 2)
-	m2 := s2.Match(func(i, o int) bool { return true }, nil)
+	m2 := matchPred(s2, func(i, o int) bool { return true }, nil)
 	matched2 := 0
 	for _, o := range m2 {
 		if o != -1 {
@@ -141,7 +154,7 @@ func TestDesynchronisationFullLoad(t *testing.T) {
 	req := func(i, o int) bool { return true }
 	perfect := 0
 	for c := 0; c < 100; c++ {
-		m := s.Match(req, nil)
+		m := matchPred(s, req, nil)
 		n := 0
 		for _, o := range m {
 			if o != -1 {
@@ -169,7 +182,7 @@ func TestMatchValidityProperty(t *testing.T) {
 			return idx < len(bits) && bits[idx]
 		}
 		for round := 0; round < 4; round++ {
-			m := s.Match(req, nil)
+			m := matchPred(s, req, nil)
 			used := map[int]bool{}
 			for i, o := range m {
 				if o == -1 {
@@ -228,9 +241,13 @@ func TestConstructorPanics(t *testing.T) {
 
 func BenchmarkISlip8x8Full(b *testing.B) {
 	s := NewISlip(8, 8, 2)
-	req := func(i, o int) bool { return true }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Match(req, nil)
+		for in := 0; in < 8; in++ {
+			for o := 0; o < 8; o++ {
+				s.Request(in, o, false)
+			}
+		}
+		s.Match()
 	}
 }

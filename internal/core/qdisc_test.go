@@ -51,9 +51,7 @@ func (e *fakeEnv) MarkCrossed(out int, above bool) {
 }
 
 func collect(d QDisc) []Request {
-	var rs []Request
-	d.Requests(0, func(r Request) { rs = append(rs, r) })
-	return rs
+	return d.Requests(0, nil)
 }
 
 func mkdata(g *pkt.IDGen, dst, size int) *pkt.Packet {
@@ -246,7 +244,9 @@ func TestVOQNetActiveListChurn(t *testing.T) {
 	push := func(dst int) { d.Enqueue(mkdata(&g, dst, 64), -1) }
 	requests := func() map[int]bool {
 		out := map[int]bool{}
-		d.Requests(0, func(r Request) { out[r.QID] = true })
+		for _, r := range d.Requests(0, nil) {
+			out[r.QID] = true
+		}
 		return out
 	}
 	push(1)

@@ -20,6 +20,11 @@ type Throttler struct {
 	lti   []sim.Cycle // last time of injection per destination
 	armed []bool      // CCTI decrement timer armed per destination
 
+	// timers holds the destination of every armed CCTI_Timer in arming
+	// order. The timer delay is constant, so expiries fire in that
+	// order and the throttler itself is the event target (Fire).
+	timers sim.FIFO[int]
+
 	// Evaluation counters.
 	BECNs   int
 	MaxCCTI int
@@ -71,8 +76,12 @@ func (t *Throttler) arm(dst int) {
 		return
 	}
 	t.armed[dst] = true
-	t.eng.After(t.p.CCTITimer, func() { t.expire(dst) })
+	t.timers.Push(dst)
+	t.eng.Schedule(t.eng.Now()+t.p.CCTITimer, t)
 }
+
+// Fire implements sim.Handler: the oldest armed CCTI_Timer expires.
+func (t *Throttler) Fire() { t.expire(t.timers.Pop()) }
 
 // expire is the CCTI_Timer tick: decrement the index and re-arm while
 // it remains positive.

@@ -297,7 +297,7 @@ func (n *Node) stageHasRoom() bool {
 func (n *Node) pickAdVOQ(now sim.Cycle) int {
 	perDest, _ := n.disc.(core.DestOccupancy)
 	stalled := false
-	//lint:ignore hotpath-alloc predicate closure is non-escaping (Pick never stores it); gc stack-allocates it — BenchmarkEngineStep shows zero allocs/op
+	//lint:ignore hotpath-alloc predicate closure does not escape (Pick only calls it), so gc stack-allocates it; the escape-analysis audit in internal/lint checks this
 	i := n.advoqRR.Pick(func(i int) bool {
 		h := n.advoqs[i].Head()
 		if h == nil {
@@ -331,23 +331,20 @@ func (n *Node) arbitrate(now sim.Cycle) {
 	if n.tx == nil || !n.tx.Free(now) || n.disc.UsedBytes() == 0 {
 		return
 	}
-	reqs := n.reqs[:0]
-	//lint:ignore hotpath-alloc visitor closure is non-escaping (Requests only calls it); gc stack-allocates it
-	n.disc.Requests(now, func(r core.Request) {
-		if r.Pkt.Size <= n.credits.Avail(r.Pkt.Dst) {
-			reqs = append(reqs, r)
-		}
-	})
-	n.reqs = reqs[:0]
-	if len(reqs) == 0 {
-		return
-	}
+	reqs := n.disc.Requests(now, n.reqs[:0])
+	n.reqs = reqs
 	best := -1
 	for idx, r := range reqs {
+		if r.Pkt.Size > n.credits.Avail(r.Pkt.Dst) {
+			continue
+		}
 		if best == -1 || (r.Priority && !reqs[best].Priority) ||
 			(r.Priority == reqs[best].Priority && n.outRR.Closer(r.QID, reqs[best].QID)) {
 			best = idx
 		}
+	}
+	if best == -1 {
+		return
 	}
 	r := reqs[best]
 	p := n.disc.Pop(r.QID)

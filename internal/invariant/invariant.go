@@ -177,7 +177,7 @@ func (c *Checker) Violations() int { return c.violations }
 func (c *Checker) tick(now sim.Cycle) {
 	c.check(now)
 	c.handle.Sleep()
-	c.eng.At(now+c.cfg.CheckEvery, c.handle.Wake)
+	c.eng.Schedule(now+c.cfg.CheckEvery, c.handle)
 }
 
 // ledger sums the conservation equation's three terms.

@@ -110,7 +110,7 @@ type Half struct {
 	// remote, when non-nil, marks this direction as cut by a network
 	// partition: the far end lives on a different shard engine, so
 	// arrivals are posted into the mailbox (drained at the next window
-	// barrier) instead of being scheduled with eng.At. All transmit-side
+	// barrier) instead of being scheduled on eng. All transmit-side
 	// state above stays owned by the sending shard; the arrival mirror
 	// below is owned by the receiving shard, and the pair is only read
 	// together (InFlight) at barriers, when both shards are parked.
@@ -132,6 +132,78 @@ type Half struct {
 	busyCycles sim.Cycle
 	sentPkts   int
 	sentBytes  int
+
+	// Arrival rings. Each transmission pushes its payload and schedules
+	// the ring itself as the event target; arrival cycles never decrease
+	// within one direction, so the k-th arrival event pops the k-th
+	// payload and no closure is allocated. On a cut direction the rings
+	// belong to the receiving shard: the sender pushes into outbox, and
+	// the mailbox handover moves the window's payloads into the rings at
+	// the barrier.
+	pkts   pktArrivals
+	ctls   ctlArrivals
+	outbox struct {
+		pkts sim.FIFO[pktArrival]
+		ctls sim.FIFO[Control]
+	}
+	// lastPkt/lastCtl are the latest scheduled arrival cycles (sender-
+	// owned), guarding the rings' non-decreasing order.
+	lastPkt, lastCtl sim.Cycle
+}
+
+// pktArrival is one packet on the wire; ep is the epoch it was sent in
+// (DropInFlight condemns older epochs).
+type pktArrival struct {
+	p   *pkt.Packet
+	cfq int
+	ep  uint32
+}
+
+// pktArrivals is a direction's packet-arrival event target.
+type pktArrivals struct {
+	h *Half
+	q sim.FIFO[pktArrival]
+}
+
+// Fire implements sim.Handler: land the oldest packet on the wire.
+func (a *pktArrivals) Fire() {
+	r := a.q.Pop()
+	if a.h.remote != nil {
+		a.h.arriveRemote(r.p, r.cfq)
+		return
+	}
+	a.h.arrive(r.p, r.cfq, r.ep)
+}
+
+// ctlArrivals is a direction's control-arrival event target.
+type ctlArrivals struct {
+	h *Half
+	q sim.FIFO[Control]
+}
+
+// Fire implements sim.Handler: deliver the oldest control message.
+func (a *ctlArrivals) Fire() { a.h.ctlRx.ReceiveControl(a.q.Pop()) }
+
+// inOrder guards the rings' precondition: events on one ring must be
+// scheduled in non-decreasing cycle order, or the k-th firing would not
+// own the k-th payload.
+func (h *Half) inOrder(last *sim.Cycle, at sim.Cycle) {
+	if at < *last {
+		panic(fmt.Sprintf("link %s: arrival at %d scheduled after one at %d", h.name, at, *last))
+	}
+	*last = at
+}
+
+// handover moves a cut direction's window of payloads from the
+// sender's outbox into the receiver-owned rings. The mailbox runs it at
+// every barrier, with both shards parked.
+func (h *Half) handover() {
+	for h.outbox.pkts.Len() > 0 {
+		h.pkts.q.Push(h.outbox.pkts.Pop())
+	}
+	for h.outbox.ctls.Len() > 0 {
+		h.ctls.q.Push(h.outbox.ctls.Pop())
+	}
 }
 
 // NewHalf builds a transmit direction with the given bandwidth
@@ -144,7 +216,10 @@ func NewHalf(eng *sim.Engine, name string, bytesPerCycle int, delay sim.Cycle) *
 	if delay < 0 {
 		panic("link: negative delay")
 	}
-	return &Half{eng: eng, name: name, bpc: bytesPerCycle, nominalBPC: bytesPerCycle, delay: delay}
+	h := &Half{eng: eng, name: name, bpc: bytesPerCycle, nominalBPC: bytesPerCycle, delay: delay}
+	h.pkts.h = h
+	h.ctls.h = h
+	return h
 }
 
 // SetReceivers attaches the far-end packet and control consumers.
@@ -155,8 +230,13 @@ func (h *Half) SetReceivers(p PacketReceiver, c ControlReceiver) {
 
 // SetRemote marks the direction as cut by a partition: deliveries go
 // through mb (whose destination engine is the receiving shard's)
-// instead of the owning engine's event heap. Wiring-time only.
-func (h *Half) SetRemote(mb *sim.Mailbox) { h.remote = mb }
+// instead of the owning engine's event heap, and mb hands each window's
+// payloads over at the barrier. Wiring-time only; mb must serve this
+// direction alone.
+func (h *Half) SetRemote(mb *sim.Mailbox) {
+	h.remote = mb
+	mb.SetHandover(h.handover)
+}
 
 // Remote reports whether the direction crosses a shard boundary.
 func (h *Half) Remote() bool { return h.remote != nil }
@@ -199,17 +279,19 @@ func (h *Half) Send(now sim.Cycle, p *pkt.Packet, cfq int) sim.Cycle {
 	h.sentPkts++
 	h.sentBytes += p.Size
 	arrive := h.busyUntil + h.delay
+	h.inOrder(&h.lastPkt, arrive)
 	if h.remote != nil {
 		// Cut direction: the in-flight ledger is sent − arrived (two
 		// single-writer counters, one per shard) instead of the local
 		// inFlight counters, which would need both shards to write.
-		h.remote.Post(arrive, func() { h.arriveRemote(p, cfq) })
+		h.outbox.pkts.Push(pktArrival{p: p, cfq: cfq})
+		h.remote.Post(arrive, &h.pkts)
 		return h.busyUntil
 	}
 	h.inFlightPkts++
 	h.inFlightBytes += p.Size
-	ep := h.epoch
-	h.eng.At(arrive, func() { h.arrive(p, cfq, ep) })
+	h.pkts.q.Push(pktArrival{p: p, cfq: cfq, ep: h.epoch})
+	h.eng.Schedule(arrive, &h.pkts)
 	return h.busyUntil
 }
 
@@ -334,13 +416,11 @@ func (h *Half) SendControl(now sim.Cycle, m Control) {
 	if h.ctlRx == nil {
 		panic(fmt.Sprintf("link %s: no control receiver attached", h.name))
 	}
-	rx := h.ctlRx
-	if h.remote != nil {
-		// Cut direction (tamper is rejected there, so no fault path).
-		h.remote.Post(now+h.delay, func() { rx.ReceiveControl(m) })
-		return
-	}
 	if h.tamper != nil {
+		// Tampering adds per-message extra delay, which breaks the
+		// ring's non-decreasing order, so faulted messages travel as
+		// closures. Cut directions reject tampering.
+		rx := h.ctlRx
 		out, extra := h.tamper(m)
 		for _, mm := range out {
 			mm := mm
@@ -348,5 +428,13 @@ func (h *Half) SendControl(now sim.Cycle, m Control) {
 		}
 		return
 	}
-	h.eng.At(now+h.delay, func() { rx.ReceiveControl(m) })
+	at := now + h.delay
+	h.inOrder(&h.lastCtl, at)
+	if h.remote != nil {
+		h.outbox.ctls.Push(m)
+		h.remote.Post(at, &h.ctls)
+		return
+	}
+	h.ctls.q.Push(m)
+	h.eng.Schedule(at, &h.ctls)
 }

@@ -15,7 +15,9 @@ import (
 //   - closures (each evaluation may heap-allocate its capture),
 //   - append into a slice that is not provably backed by preallocated
 //     or reused storage (fields, params, make-with-capacity, reslices),
-//   - implicit interface conversions at call sites (boxing).
+//   - implicit interface conversions at call sites (boxing), except of
+//     pointer-shaped values (pointers, funcs, maps, chans,
+//     unsafe.Pointer), which an interface stores without allocating.
 //
 // Everything inside a panic(...) argument is exempt: a dying run may
 // allocate its last words.
@@ -177,7 +179,7 @@ func checkHotCall(pass *Pass, call *ast.CallExpr) {
 	}
 	if tv.IsType() {
 		// Explicit conversion T(x): boxing only when T is an interface.
-		if types.IsInterface(tv.Type) && len(call.Args) == 1 && concreteNonNil(info, call.Args[0]) {
+		if types.IsInterface(tv.Type) && len(call.Args) == 1 && boxes(info, call.Args[0]) {
 			pass.Report(call.Pos(),
 				"conversion to interface in per-cycle hot path: boxes the value (allocates)",
 				"keep the concrete type on the hot path; convert once outside it")
@@ -210,7 +212,7 @@ func checkHotCall(pass *Pass, call *ast.CallExpr) {
 		if pt == nil || !types.IsInterface(pt) {
 			continue
 		}
-		if concreteNonNil(info, arg) {
+		if boxes(info, arg) {
 			pass.Report(arg.Pos(),
 				"implicit conversion to interface argument in per-cycle hot path: boxes the value (allocates)",
 				"avoid interface-taking calls on the hot path, or pass a preboxed value stored at construction")
@@ -233,6 +235,25 @@ func concreteNonNil(info *types.Info, e ast.Expr) bool {
 		return false
 	}
 	return !types.IsInterface(tv.Type)
+}
+
+// boxes reports whether converting e to an interface allocates: its
+// type is concrete and not pointer-shaped. A pointer-shaped value (a
+// pointer, func, map, chan or unsafe.Pointer) is one machine word that
+// the interface's data word holds directly, so passing *T where an
+// interface is expected costs nothing.
+func boxes(info *types.Info, e ast.Expr) bool {
+	return concreteNonNil(info, e) && !pointerShaped(info.Types[e].Type)
+}
+
+func pointerShaped(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Signature, *types.Map, *types.Chan:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	}
+	return false
 }
 
 // appendTargetPreallocated reports whether the slice being appended to

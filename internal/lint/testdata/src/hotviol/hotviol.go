@@ -45,7 +45,23 @@ func (p *Port) PhaseUpdate(now sim.Cycle) {
 
 func (p *Port) record(now sim.Cycle) {
 	sink(now) // want hotpath-alloc "implicit conversion to interface argument"
+	// A struct value passed as an interface is boxed; a pointer to the
+	// same struct is stored in the interface as is.
+	sink(event{id: 3})        // want hotpath-alloc "composite literal" want hotpath-alloc "implicit conversion to interface argument"
+	p.eng.Schedule(now+1, ev) // want hotpath-alloc "implicit conversion to interface argument"
+	p.eng.Schedule(now+1, p)
+	p.eng.Schedule(now+1, sim.Handler(p))
 }
+
+// Fire makes *Port a sim.Handler.
+func (p *Port) Fire() {}
+
+// ev is a sim.Handler with a value receiver: passing it boxes.
+var ev valueHandler
+
+type valueHandler struct{ id, val int }
+
+func (valueHandler) Fire() {}
 
 func sink(v any) { _ = v }
 

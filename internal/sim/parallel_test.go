@@ -15,7 +15,7 @@ func TestMailboxDrainPreservesPostOrder(t *testing.T) {
 	var fired []int
 	for i := 0; i < 10; i++ {
 		i := i
-		m.Post(3, func() { fired = append(fired, i) })
+		m.Post(3, funcHandler(func() { fired = append(fired, i) }))
 	}
 	if m.Len() != 10 {
 		t.Fatalf("Len = %d, want 10", m.Len())
@@ -44,10 +44,10 @@ func TestMailboxFixedDrainOrderDecidesSameCycleOrder(t *testing.T) {
 	var fired []string
 	// Post into b first: drain order, not post order across mailboxes,
 	// must decide the outcome.
-	b.Post(2, func() { fired = append(fired, "b0") })
-	a.Post(2, func() { fired = append(fired, "a0") })
-	b.Post(2, func() { fired = append(fired, "b1") })
-	a.Post(2, func() { fired = append(fired, "a1") })
+	b.Post(2, funcHandler(func() { fired = append(fired, "b0") }))
+	a.Post(2, funcHandler(func() { fired = append(fired, "a0") }))
+	b.Post(2, funcHandler(func() { fired = append(fired, "b1") }))
+	a.Post(2, funcHandler(func() { fired = append(fired, "a1") }))
 	a.Drain()
 	b.Drain()
 	dst.Run(4)
@@ -68,9 +68,9 @@ func TestMailboxReuseAcrossWindows(t *testing.T) {
 	dst := NewEngine(1)
 	m := NewMailbox(dst, 1)
 	count := 0
-	m.Post(1, func() { count++ })
+	m.Post(1, funcHandler(func() { count++ }))
 	m.Drain()
-	m.Post(2, func() { count++ })
+	m.Post(2, funcHandler(func() { count++ }))
 	m.Drain()
 	dst.Run(4)
 	if count != 2 {
@@ -130,11 +130,11 @@ func TestParallelCrossShardDeliveryAtLookahead(t *testing.T) {
 	var got []Cycle
 	// Shard 0 posts one event per cycle, due exactly one window later.
 	engines[0].Register(PhasePost, func(now Cycle) {
-		box.Post(now+window, func() {
+		box.Post(now+window, funcHandler(func() {
 			mu.Lock()
 			got = append(got, engines[1].Now())
 			mu.Unlock()
-		})
+		}))
 	})
 	p := NewParallel(engines, window, func(Cycle) { box.Drain() })
 	p.Run(9)

@@ -1,6 +1,6 @@
 // Package sim provides the cycle-level simulation engine used by every
 // other component of the CCFIT reproduction: a deterministic clock, an
-// event heap for scheduled callbacks, phased per-cycle ticking with
+// event heap of typed handlers, phased per-cycle ticking with
 // wake/sleep component elision, and seeded random-number streams.
 //
 // One cycle is the time needed to move one flit (FlitBytes bytes) across
@@ -69,10 +69,25 @@ const (
 	numPhases
 )
 
+// Handler is a scheduled event's target. Hot-path components schedule
+// a long-lived record (a link direction's arrival ring, a switch input
+// port, a throttler's timer FIFO, a ticker handle) rather than a fresh
+// closure: converting a pointer to Handler does not allocate, so the
+// event heap carries no per-event garbage.
+type Handler interface {
+	Fire()
+}
+
+// funcHandler adapts a closure to Handler for cold callers (fault
+// scripts, tests) that schedule through At/After.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
 type event struct {
 	at  Cycle
 	seq uint64 // tie-break: FIFO among same-cycle events
-	fn  func()
+	h   Handler
 }
 
 // before is the strict total order on events: cycle first, then
@@ -132,6 +147,10 @@ func (h *TickerHandle) Sleep() {
 		h.e.awake--
 	}
 }
+
+// Fire implements Handler: a scheduled handle wakes its ticker, so a
+// self-pacing component schedules its own wake-up without a closure.
+func (h *TickerHandle) Fire() { h.Wake() }
 
 // Awake reports whether the ticker is on the active list.
 func (h *TickerHandle) Awake() bool {
@@ -246,22 +265,28 @@ func (e *Engine) RNG() *rand.Rand {
 	return rand.New(rand.NewSource(e.seed*1_000_003 + *seq))
 }
 
-// At schedules fn to run at cycle c (before the phases of that cycle).
-// Scheduling in the past panics: it would silently corrupt causality.
-func (e *Engine) At(c Cycle, fn func()) {
+// Schedule fires h at cycle c (before the phases of that cycle). It is
+// the engine's only scheduling path. Scheduling in the past panics: it
+// would silently corrupt causality.
+func (e *Engine) Schedule(c Cycle, h Handler) {
 	if c < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d in the past (now %d)", c, e.now))
 	}
 	e.seq++
-	e.pushEvent(event{at: c, seq: e.seq, fn: fn})
+	e.pushEvent(event{at: c, seq: e.seq, h: h})
 }
+
+// At schedules fn to run at cycle c. It allocates the closure, so it
+// is for cold callers (fault scripts, tests); hot paths use Schedule.
+func (e *Engine) At(c Cycle, fn func()) { e.Schedule(c, funcHandler(fn)) }
 
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d Cycle, fn func()) { e.At(e.now+d, fn) }
 
 // pushEvent sifts a new event up a hand-rolled monomorphic heap. Unlike
-// container/heap this never boxes the event into an interface, so the
-// only allocation on the scheduling hot path is the caller's closure.
+// container/heap this never boxes the event into an interface, and the
+// heap slice is reused, so scheduling allocates nothing once the heap
+// has grown to its working size.
 func (e *Engine) pushEvent(ev event) {
 	h := append(e.events, ev)
 	i := len(h) - 1
@@ -276,13 +301,13 @@ func (e *Engine) pushEvent(ev event) {
 	e.events = h
 }
 
-// popEvent removes and returns the earliest event's callback.
-func (e *Engine) popEvent() func() {
+// popEvent removes and returns the earliest event's handler.
+func (e *Engine) popEvent() Handler {
 	h := e.events
-	fn := h[0].fn
+	target := h[0].h
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // drop the closure reference for the GC
+	h[n] = event{} // drop the handler reference for the GC
 	h = h[:n]
 	i := 0
 	for {
@@ -301,7 +326,7 @@ func (e *Engine) popEvent() func() {
 		i = m
 	}
 	e.events = h
-	return fn
+	return target
 }
 
 // AddTicker registers t for per-cycle ticks in phase p and returns the
@@ -332,7 +357,7 @@ func (e *Engine) ActiveTickers() int { return e.awake }
 // phase.
 func (e *Engine) Step() {
 	for len(e.events) > 0 && e.events[0].at <= e.now {
-		e.popEvent()()
+		e.popEvent().Fire()
 	}
 	if e.awake > 0 {
 		for p := range e.phases {

@@ -49,13 +49,9 @@ type Switch struct {
 	// wedged scheduler. Zero (the default) never stalls.
 	stalledUntil sim.Cycle
 
-	// per-cycle scratch: candidate request per (input, output)
+	// per-cycle scratch: candidate request per (input, output), valid
+	// where islip.Requested(input, output) holds
 	cand [][]core.Request
-	has  [][]bool
-
-	// iSLIP request/priority predicates over cand/has, built once so
-	// arbitration does not allocate two closures per cycle.
-	matchHas, matchPrio func(i, o int) bool
 
 	// Tick handles: the switch sleeps while every input discipline is
 	// quiescent and every output stage is empty (nothing queued, nothing
@@ -70,6 +66,13 @@ type inPort struct {
 	busyUntil sim.Cycle
 	rr        *arbiter.RoundRobin // among this port's queues for one output
 	reqs      []core.Request      // per-cycle scratch
+
+	// The crossbar transfer in flight from this port. A port starts a
+	// new transfer only once busyUntil has passed, and the completion
+	// fires before that cycle's arbitration, so there is at most one:
+	// the port itself is the completion event's target (Fire).
+	xferOut *outPort
+	xferPkt staged
 }
 
 type outPort struct {
@@ -138,13 +141,9 @@ func New(eng *sim.Engine, id int, name string, nports int, p *core.Params, route
 		}
 	}
 	s.cand = make([][]core.Request, nports)
-	s.has = make([][]bool, nports)
 	for i := range s.cand {
 		s.cand[i] = make([]core.Request, nports)
-		s.has[i] = make([]bool, nports)
 	}
-	s.matchHas = func(i, o int) bool { return s.has[i][o] }
-	s.matchPrio = func(i, o int) bool { return s.has[i][o] && s.cand[i][o].Priority }
 	s.hPost = eng.AddTicker(sim.PhasePost, sim.TickerFunc(s.post))
 	s.hArb = eng.AddTicker(sim.PhaseArbitrate, sim.TickerFunc(s.arbitrate))
 	s.hUpd = eng.AddTicker(sim.PhaseUpdate, sim.TickerFunc(s.update))
@@ -250,15 +249,10 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 	}
 	anyReq := false
 	for i, ip := range s.in {
-		for o := range s.has[i] {
-			s.has[i][o] = false
-		}
 		if ip.busyUntil > now || ip.disc.UsedBytes() == 0 {
 			continue
 		}
-		ip.reqs = ip.reqs[:0]
-		//lint:ignore hotpath-alloc visitor closure is non-escaping (Requests only calls it); gc stack-allocates it
-		ip.disc.Requests(now, func(r core.Request) { ip.reqs = append(ip.reqs, r) })
+		ip.reqs = ip.disc.Requests(now, ip.reqs[:0])
 		for _, r := range ip.reqs {
 			op := s.out[r.Out]
 			if op.tx == nil || len(op.stage)+op.inflight >= stageCap {
@@ -269,10 +263,12 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 				continue
 			}
 			// Keep the strongest candidate per (input, output):
-			// priority first, then this input's queue round-robin.
-			if !s.has[i][r.Out] || s.better(ip, r, s.cand[i][r.Out]) {
+			// priority first, then this input's queue round-robin. A
+			// replacement never drops priority, so OR-ing it into the
+			// request's priority bit tracks the final candidate's.
+			if !s.islip.Requested(i, r.Out) || s.better(ip, r, s.cand[i][r.Out]) {
 				s.cand[i][r.Out] = r
-				s.has[i][r.Out] = true
+				s.islip.Request(i, r.Out, r.Priority)
 			}
 			anyReq = true
 		}
@@ -280,7 +276,7 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 	if !anyReq {
 		return
 	}
-	match := s.islip.Match(s.matchHas, s.matchPrio)
+	match := s.islip.Match()
 	for i, o := range match {
 		if o == -1 {
 			continue
@@ -333,15 +329,9 @@ func (s *Switch) start(now sim.Cycle, ip *inPort, op *outPort, r core.Request) {
 	ip.busyUntil = now + xfer
 	op.inflight++
 	op.inflightBytes += p.Size
-	cfq := r.DirectCFQ
-	//lint:ignore hotpath-alloc transfer-completion event: this scheduling closure is the one allocation per crossbar launch PR 2's overhaul budgeted for
-	s.eng.At(now+xfer, func() {
-		op.inflight--
-		op.inflightBytes -= p.Size
-		//lint:ignore hotpath-alloc staged{} is a two-word value appended into the field-backed stage ring; no heap allocation
-		op.stage = append(op.stage, staged{p: p, cfq: cfq})
-		s.wake() // defensive: the staged packet needs drain ticks
-	})
+	ip.xferOut = op
+	ip.xferPkt.p, ip.xferPkt.cfq = p, r.DirectCFQ
+	s.eng.Schedule(now+xfer, ip)
 	s.stats.Forwarded++
 	s.stats.ForwardedBytes += p.Size
 	// The packet left this input port's RAM: return credit upstream.
@@ -411,12 +401,11 @@ func (s *Switch) DescribeBlocked(now sim.Cycle) []string {
 		if ip.busyUntil > now {
 			line += fmt.Sprintf("; crossbar busy until %d", ip.busyUntil)
 		}
-		nreq := 0
-		ip.disc.Requests(now, func(r core.Request) {
-			nreq++
+		ip.reqs = ip.disc.Requests(now, ip.reqs[:0])
+		for _, r := range ip.reqs {
 			line += "; " + s.describeRequest(now, r)
-		})
-		if nreq == 0 {
+		}
+		if len(ip.reqs) == 0 {
 			line += "; no eligible request (queues stopped or heads gated)"
 		}
 		out = append(out, line)
@@ -442,6 +431,17 @@ func (s *Switch) describeRequest(now sim.Cycle, r core.Request) string {
 	default:
 		return head + " grantable"
 	}
+}
+
+// Fire implements sim.Handler: the port's crossbar transfer lands in
+// its output stage.
+func (ip *inPort) Fire() {
+	op, st := ip.xferOut, ip.xferPkt
+	ip.xferOut, ip.xferPkt = nil, staged{}
+	op.inflight--
+	op.inflightBytes -= st.p.Size
+	op.stage = append(op.stage, st)
+	ip.s.wake() // defensive: the staged packet needs drain ticks
 }
 
 // ReceivePacket implements link.PacketReceiver for an input port.

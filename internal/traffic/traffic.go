@@ -214,7 +214,7 @@ func (g *Generator) inject(now sim.Cycle) {
 	if !g.anyActive(now) {
 		g.handle.Sleep()
 		if next, ok := g.nextStart(now); ok {
-			g.eng.At(next, g.handle.Wake)
+			g.eng.Schedule(next, g.handle)
 		}
 	}
 }
