@@ -43,13 +43,22 @@ func openScheduler(t *testing.T, dir string, opt Options) *Scheduler {
 // returning the events observed (snapshot excluded).
 func waitTerminal(t *testing.T, s *Scheduler, id string) []Event {
 	t.Helper()
+	_, events := subscribeToEnd(t, s, id)
+	return events
+}
+
+// subscribeToEnd is waitTerminal that also returns the subscription
+// snapshot: jobs that started or finished before the subscription show
+// there, not in the stream.
+func subscribeToEnd(t *testing.T, s *Scheduler, id string) (View, []Event) {
+	t.Helper()
 	snap, ch, cancel, err := s.Subscribe(id)
 	if err != nil {
 		t.Fatalf("Subscribe(%s): %v", id, err)
 	}
 	defer cancel()
 	if snap.Status.Terminal() {
-		return nil
+		return snap, nil
 	}
 	var events []Event
 	deadline := time.After(120 * time.Second)
@@ -61,7 +70,7 @@ func waitTerminal(t *testing.T, s *Scheduler, id string) []Event {
 			}
 			events = append(events, ev)
 			if ev.Type == "complete" {
-				return events
+				return snap, events
 			}
 		case <-deadline:
 			t.Fatalf("campaign %s did not complete in time", id)
@@ -113,7 +122,7 @@ func TestLifecycle(t *testing.T) {
 	if v.Total == 0 || v.Status.Terminal() {
 		t.Fatalf("fresh campaign view looks terminal: %+v", v)
 	}
-	events := waitTerminal(t, s, v.ID)
+	snap, events := subscribeToEnd(t, s, v.ID)
 
 	final, err := s.View(v.ID, true)
 	if err != nil {
@@ -125,7 +134,17 @@ func TestLifecycle(t *testing.T) {
 	if final.Done != final.Total || final.Failed != 0 || final.Cancelled != 0 {
 		t.Fatalf("counters %+v, want all %d done", final, final.Total)
 	}
+	// Under load, jobs can start (or even finish) between Submit and
+	// Subscribe; the snapshot's job rows account for those.
 	starts, terminals := 0, 0
+	for _, j := range snap.Jobs {
+		if j.Status == JobRunning || j.Status.Terminal() {
+			starts++
+		}
+		if j.Status.Terminal() {
+			terminals++
+		}
+	}
 	for _, ev := range events {
 		switch ev.Type {
 		case "start":
@@ -137,9 +156,11 @@ func TestLifecycle(t *testing.T) {
 	if starts != final.Total || terminals != final.Total {
 		t.Errorf("saw %d start and %d terminal events for %d jobs", starts, terminals, final.Total)
 	}
-	last := events[len(events)-1]
-	if last.Type != "complete" || last.Status != StatusDone || last.Done != final.Total {
-		t.Errorf("final event = %+v, want complete/done/%d", last, final.Total)
+	if !snap.Status.Terminal() {
+		last := events[len(events)-1]
+		if last.Type != "complete" || last.Status != StatusDone || last.Done != final.Total {
+			t.Errorf("final event = %+v, want complete/done/%d", last, final.Total)
+		}
 	}
 
 	results, err := s.Results(v.ID)

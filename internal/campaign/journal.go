@@ -124,19 +124,15 @@ func (j *journal) append(r record, sync bool) error {
 	return nil
 }
 
-// sync forces buffered journal writes to disk without appending — the
-// campaign-completion quiesce point. It exists so callers never touch
-// j.f directly: a bare j.f.Sync() from outside would race a concurrent
-// append's write-then-sync sequence.
-func (j *journal) sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Sync()
-}
-
+// close syncs the journal to disk and closes it: the campaign reached
+// a terminal state, or the service is shutting down.
 func (j *journal) close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if err := j.f.Sync(); err != nil {
+		_ = j.f.Close()
+		return err
+	}
 	return j.f.Close()
 }
 

@@ -507,12 +507,14 @@ func (s *Scheduler) completeLocked(c *campaign) {
 	c.status = terminalStatus(c)
 	c.cancel() // release the campaign's context resources
 	if c.jl != nil {
-		// Through the journal's own locked method, not c.jl.f.Sync()
-		// directly: reaching around journal.mu to its file handle races
-		// any concurrent append's write-then-sync sequence.
-		if err := c.jl.sync(); err != nil {
+		// Nothing appends to a terminal campaign's journal again: close
+		// it (close syncs first), or a long-lived service would hold one
+		// descriptor per finished campaign. Views, results and restart
+		// replay read the state in memory, the cache and the file.
+		if err := c.jl.close(); err != nil {
 			s.metrics.JournalErrors.Add(1)
 		}
+		c.jl = nil
 	}
 	switch c.status {
 	case StatusCancelled:
@@ -687,9 +689,11 @@ func (s *Scheduler) Results(id string) ([]runner.JobResult, error) {
 // Subscribe registers a progress listener for a campaign, returning
 // the current snapshot, a buffered event channel and a cancel
 // function. The snapshot and the channel are registered atomically:
-// no event between them is lost. Slow consumers drop events rather
-// than stall the scheduler; the terminal "complete" event is always
-// the last one delivered (or visible in the snapshot itself).
+// no event between them is lost, and the snapshot carries the job
+// rows, so a subscriber can tell which jobs started or finished before
+// it. Slow consumers drop events rather than stall the scheduler; the
+// terminal "complete" event is always the last one delivered (or
+// visible in the snapshot itself).
 func (s *Scheduler) Subscribe(id string) (View, <-chan Event, func(), error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -697,7 +701,7 @@ func (s *Scheduler) Subscribe(id string) (View, <-chan Event, func(), error) {
 	if c == nil {
 		return View{}, nil, nil, ErrNotFound
 	}
-	snap := s.viewLocked(c, false)
+	snap := s.viewLocked(c, true)
 	ch := make(chan Event, 1024)
 	if !snap.Status.Terminal() {
 		c.subs[ch] = struct{}{}

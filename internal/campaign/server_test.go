@@ -164,3 +164,75 @@ func TestHTTPEventStreamTerminalSnapshot(t *testing.T) {
 		t.Errorf("terminal stream = %v, want [snapshot complete]", types)
 	}
 }
+
+// TestCompletedCampaignClosesJournal: a finished campaign holds no open
+// journal (a long-lived service would otherwise keep one descriptor per
+// campaign it ever ran), yet GET /campaigns/{id}, its results and its
+// replay after a restart are unaffected.
+func TestCompletedCampaignClosesJournal(t *testing.T) {
+	dir := t.TempDir()
+	s := openScheduler(t, dir, Options{Workers: 2})
+	ts := httptest.NewServer(NewServer(s))
+	client := &Client{Base: ts.URL, HTTP: ts.Client()}
+	ctx := context.Background()
+
+	sub := Submission{Spec: quickSpec()}
+	jobs, err := sub.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := client.Submit(ctx, sub)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := client.Wait(ctx, v.ID, nil); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	s.mu.Lock()
+	open := s.campaigns[v.ID].jl != nil
+	s.mu.Unlock()
+	if open {
+		t.Fatal("completed campaign still holds its journal open")
+	}
+
+	want := localDigest(t, sub)
+	check := func(c *Client, when string) {
+		t.Helper()
+		view, err := c.Status(ctx, v.ID)
+		if err != nil {
+			t.Fatalf("%s: GET /campaigns/%s: %v", when, v.ID, err)
+		}
+		if view.Status != StatusDone || view.Done+view.Cached != view.Total {
+			t.Fatalf("%s: view %+v, want all %d jobs done", when, view, view.Total)
+		}
+		results, err := c.Results(ctx, v.ID, jobs)
+		if err != nil {
+			t.Fatalf("%s: results: %v", when, err)
+		}
+		if got := resultsDigest(t, results); got != want {
+			t.Fatalf("%s: results digest %s != local digest %s", when, got, want)
+		}
+	}
+	check(client, "after completion")
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	// Restart over the same journal and cache: the campaign replays as
+	// done without reopening its journal.
+	s2 := openScheduler(t, dir, Options{Workers: 2})
+	ts2 := httptest.NewServer(NewServer(s2))
+	defer func() {
+		ts2.Close()
+		s2.Close()
+	}()
+	s2.mu.Lock()
+	c2 := s2.campaigns[v.ID]
+	reopened := c2 == nil || c2.jl != nil
+	s2.mu.Unlock()
+	if reopened {
+		t.Fatal("replayed completed campaign is missing or reopened its journal")
+	}
+	check(&Client{Base: ts2.URL, HTTP: ts2.Client()}, "after restart")
+}

@@ -52,6 +52,14 @@ type IsolationUnit struct {
 	// saturation).
 	detectRetry sim.Cycle
 
+	// changes, when set, counts every state change Post and Update make
+	// (a post move, a detection, a lazy allocation, a deallocation); a
+	// host switch uses it to tell a no-op tick (see TrackChanges).
+	changes *int
+	// exhaustedAt is the last cycle a lazy allocation found no free
+	// line: in a cycle that changes nothing it recurs every cycle.
+	exhaustedAt sim.Cycle
+
 	// scratch for detection scans
 	scanDst []int
 	scanB   []int
@@ -67,6 +75,8 @@ func NewIsolationUnit(p *Params, env PortEnv) *IsolationUnit {
 		nfq:  buffer.NewQueue("nfq", ram),
 		cfqs: make([]*buffer.Queue, p.NumCFQs),
 		cam:  cam.New[InLine](p.NumCFQs),
+
+		exhaustedAt: -1,
 	}
 	for i := range u.cfqs {
 		u.cfqs[i] = buffer.NewQueue(fmt.Sprintf("cfq%d", i), ram)
@@ -76,6 +86,57 @@ func NewIsolationUnit(p *Params, env PortEnv) *IsolationUnit {
 
 // SetTraceLabel names this unit in traced events (e.g. "sw<0,1>:p3").
 func (u *IsolationUnit) SetTraceLabel(l string) { u.label = l }
+
+// TrackChanges makes Post and Update increment *c on every state change
+// they make themselves (upstream notifications and mark crossings go
+// through the host's PortEnv, which counts them there).
+func (u *IsolationUnit) TrackChanges(c *int) { u.changes = c }
+
+func (u *IsolationUnit) changed() {
+	if u.changes != nil {
+		*u.changes++
+	}
+}
+
+// NextChange returns the earliest cycle after now, and before by, at
+// which Post or Update can act with no new input, given that neither
+// changed anything in cycle now: a detection retry falling due while
+// the NFQ is over the detection threshold, or an idle Go line's
+// hold-down expiring; by when neither comes sooner. It returns now+1
+// when the unit must tick every cycle: a lazy allocation exhausted in
+// cycle now and a tracer records one event per cycle.
+func (u *IsolationUnit) NextChange(now, by sim.Cycle) sim.Cycle {
+	if u.exhaustedAt == now && u.p.Tracer != nil {
+		return now + 1
+	}
+	if u.detectRetry > now && u.detectRetry < by && u.nfq.Bytes() >= u.p.DetectionThreshold {
+		by = u.detectRetry
+	}
+	for i, q := range u.cfqs {
+		if q.Bytes() > 0 || !u.cam.Valid(i) {
+			continue
+		}
+		if line := u.cam.Payload(i); !line.Stopped && line.LastActive+u.p.HoldDown < by {
+			by = line.LastActive + u.p.HoldDown
+		}
+	}
+	return by
+}
+
+// CatchUp accounts k cycles ending at through in which the host elided
+// Post and Update because each would have repeated the no-op cycle
+// last: a lazy-allocation exhaustion of cycle last recurs k times, and
+// every line whose CFQ holds packets stays active through `through`.
+func (u *IsolationUnit) CatchUp(last, through sim.Cycle, k int) {
+	if u.exhaustedAt == last {
+		u.stats.CAMExhausted += k
+	}
+	for i, q := range u.cfqs {
+		if q.Bytes() > 0 && u.cam.Valid(i) {
+			u.cam.Payload(i).LastActive = through
+		}
+	}
+}
 
 // Fits reports whether the shared port RAM can admit size bytes.
 func (u *IsolationUnit) Fits(size int) bool { return u.ram.Fits(size) }
@@ -117,6 +178,7 @@ func (u *IsolationUnit) Post(now sim.Cycle) {
 			u.nfq.TransferHead(u.cfqs[li])
 			u.cam.Payload(li).LastActive = now
 			u.stats.PostMoves++
+			u.changed()
 			continue
 		}
 		// Lazy allocation: downstream announced a congestion point
@@ -127,6 +189,7 @@ func (u *IsolationUnit) Post(now sim.Cycle) {
 				continue // head now matches; next iteration moves it
 			}
 			u.stats.CAMExhausted++
+			u.exhaustedAt = now
 			emit(u.p.Tracer, now, EvExhaust, u.label, h.Dst, -1)
 			return // no CFQ free: head proceeds as normal traffic
 		}
@@ -161,6 +224,7 @@ func (u *IsolationUnit) allocFromDownstream(now sim.Cycle, out, dest int) bool {
 		return false
 	}
 	u.stats.LazyAllocs++
+	u.changed()
 	emit(u.p.Tracer, now, EvLazyAlloc, u.label, dest, li)
 	return true
 }
@@ -221,6 +285,7 @@ func (u *IsolationUnit) detect(now sim.Cycle) bool {
 		return false
 	}
 	u.stats.Detections++
+	u.changed()
 	emit(u.p.Tracer, now, EvDetect, u.label, best, li)
 	return true
 }
@@ -313,6 +378,7 @@ func (u *IsolationUnit) Update(now sim.Cycle) {
 			}
 			u.cam.Free(i)
 			u.stats.Deallocs++
+			u.changed()
 			inUse--
 			emit(u.p.Tracer, now, EvDealloc, u.label, dests[0], i)
 		}

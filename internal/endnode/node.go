@@ -8,6 +8,7 @@ package endnode
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arbiter"
 	"repro/internal/buffer"
@@ -58,6 +59,11 @@ type Node struct {
 	occupied  int            // AdVOQs currently holding packets
 	reqs      []core.Request // per-cycle arbitration scratch
 
+	// filled has bit d set while AdVOQ d holds packets (pickAdVOQ visits
+	// only those); advoqBytes is the AdVOQs' byte total.
+	filled     []uint64
+	advoqBytes int
+
 	// pausedUntil is the fault injector's injection freeze: while
 	// now < pausedUntil the node sends nothing (the sink keeps
 	// consuming — a paused host still drains its receive side).
@@ -89,6 +95,7 @@ func New(eng *sim.Engine, id int, p *core.Params, numEndpoints int, ids *pkt.IDG
 		pool:         pool,
 		advoqs:       make([]*buffer.Queue, numEndpoints),
 		advoqRR:      arbiter.NewRoundRobin(numEndpoints),
+		filled:       make([]uint64, (numEndpoints+63)/64),
 		outCAM:       core.NewOutCAM(p.NumCFQs),
 	}
 	for i := range n.advoqs {
@@ -178,8 +185,10 @@ func (n *Node) Offer(p *pkt.Packet) bool {
 	}
 	if q.Empty() {
 		n.occupied++
+		n.filled[p.Dst>>6] |= 1 << (p.Dst & 63)
 	}
 	q.Push(p)
+	n.advoqBytes += p.Size
 	n.stats.Offered++
 	n.stats.OfferedBytes += p.Size
 	n.wake()
@@ -212,10 +221,7 @@ func (n *Node) TxHalf() *link.Half { return n.tx }
 // term in the packet-conservation ledger (the sink holds nothing —
 // deliveries are consumed on arrival).
 func (n *Node) BufferedBytes() int {
-	b := n.disc.UsedBytes()
-	for _, q := range n.advoqs {
-		b += q.Bytes()
-	}
+	b := n.disc.UsedBytes() + n.advoqBytes
 	for _, p := range n.pending {
 		b += p.Size
 	}
@@ -256,10 +262,7 @@ func (n *Node) post(now sim.Cycle) {
 	// AdVOQs where the throttling gate can still reorder service.
 	if n.occupied > 0 && n.stageHasRoom() {
 		if i := n.pickAdVOQ(now); i >= 0 {
-			p := n.advoqs[i].Pop()
-			if n.advoqs[i].Empty() {
-				n.occupied--
-			}
+			p := n.popAdVOQ(i)
 			n.disc.Enqueue(p, -1)
 			if n.throttler != nil {
 				n.throttler.Injected(i, now)
@@ -267,6 +270,17 @@ func (n *Node) post(now sim.Cycle) {
 		}
 	}
 	n.disc.Post(now)
+}
+
+// popAdVOQ removes the head of AdVOQ i.
+func (n *Node) popAdVOQ(i int) *pkt.Packet {
+	p := n.advoqs[i].Pop()
+	n.advoqBytes -= p.Size
+	if n.advoqs[i].Empty() {
+		n.occupied--
+		n.filled[i>>6] &^= 1 << (i & 63)
+	}
+	return p
 }
 
 // stagingLimit bounds the output-buffer fill the IA aims for: enough to
@@ -291,35 +305,53 @@ func (n *Node) stageHasRoom() bool {
 }
 
 // pickAdVOQ chooses the next admittance queue to serve: round-robin
-// over destinations, skipping empty queues, queues whose IRD has not
-// elapsed, heads the output buffer cannot admit, and destinations
-// whose share of the staging budget is already used.
+// over destinations from the pointer, visiting only non-empty queues
+// (the filled bitmask) and skipping queues whose IRD has not elapsed,
+// heads the output buffer cannot admit, and destinations whose share of
+// the staging budget is already used. It picks what RoundRobin.Pick
+// over every queue would, without testing the empty ones.
 func (n *Node) pickAdVOQ(now sim.Cycle) int {
 	perDest, _ := n.disc.(core.DestOccupancy)
 	stalled := false
-	//lint:ignore hotpath-alloc predicate closure does not escape (Pick only calls it), so gc stack-allocates it; the escape-analysis audit in internal/lint checks this
-	i := n.advoqRR.Pick(func(i int) bool {
-		h := n.advoqs[i].Head()
-		if h == nil {
-			return false
+	start := n.advoqRR.Pointer()
+	w0, b0 := start>>6, start&63
+	nw := len(n.filled)
+	// Word w0 from bit b0 up, the other words in order, then word w0
+	// again below b0.
+	for k := 0; k <= nw; k++ {
+		w := w0 + k
+		if w >= nw {
+			w -= nw
 		}
-		if perDest != nil {
-			// Per-destination output queues: stage at most one packet
-			// per destination so blocked destinations cannot hoard.
-			if perDest.DestBytes(i) > 0 {
-				return false
+		word := n.filled[w]
+		switch k {
+		case 0:
+			word &= ^uint64(0) << b0
+		case nw:
+			word &= 1<<b0 - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if perDest != nil && perDest.DestBytes(i) > 0 {
+				// Per-destination output queues: stage at most one
+				// packet per destination so blocked destinations
+				// cannot hoard.
+				continue
+			}
+			if n.throttler != nil && !n.throttler.MayInject(i, now) {
+				stalled = true
+				continue
+			}
+			if n.disc.Fits(n.advoqs[i].Head().Size) {
+				n.advoqRR.Served(i)
+				return i
 			}
 		}
-		if n.throttler != nil && !n.throttler.MayInject(i, now) {
-			stalled = true
-			return false
-		}
-		return n.disc.Fits(h.Size)
-	})
-	if i < 0 && stalled {
+	}
+	if stalled {
 		n.stats.ThrottleStalls++
 	}
-	return i
+	return -1
 }
 
 // arbitrate serves the output buffer onto the uplink: BECNs first, then

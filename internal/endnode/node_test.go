@@ -1,8 +1,10 @@
 package endnode
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/arbiter"
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/pkt"
@@ -298,4 +300,84 @@ func TestDoubleAttachPanics(t *testing.T) {
 	}()
 	tx := link.NewHalf(eng, "x", 64, 1)
 	n.AttachLink(tx, core.NewSharedCredits(1024))
+}
+
+// TestPickAdVOQMatchesPredicateScan checks the bitmask AdVOQ pick
+// against the scan it replaced — RoundRobin.Pick with the eligibility
+// predicate over every queue — in random states: AdVOQ fills across
+// word boundaries, pointer positions, throttled destinations (CCFIT),
+// per-destination output occupancy (VOQnet) and full output buffers
+// (1Q). Same pick, same pointer and same throttle-stall count every
+// time; BufferedBytes matches a walk over every queue.
+func TestPickAdVOQMatchesPredicateScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, name := range []string{"CCFIT", "VOQnet", "1Q"} {
+		for _, ne := range []int{2, 3, 63, 64, 65, 130} {
+			p := map[string]core.Params{"CCFIT": core.PresetCCFIT(), "VOQnet": core.PresetVOQnet(), "1Q": core.Preset1Q()}[name]
+			p.AdVOQCap = 3
+			eng := sim.NewEngine(1)
+			ids := &pkt.IDGen{}
+			n := New(eng, 0, &p, ne, ids, nil)
+			for it := 0; it < 3000; it++ {
+				now := sim.Cycle(it * 7)
+				for k := rng.Intn(4); k > 0; k-- {
+					n.Offer(pkt.NewData(ids, 0, 1+rng.Intn(ne-1), 0, pkt.MTU, now))
+				}
+				if n.throttler != nil && rng.Intn(3) == 0 {
+					d := 1 + rng.Intn(ne-1)
+					n.throttler.OnBECN(d)
+					n.throttler.Injected(d, now-sim.Cycle(rng.Intn(40)))
+				}
+				if rng.Intn(4) == 0 {
+					for _, r := range n.disc.Requests(now, nil) {
+						n.disc.Pop(r.QID)
+					}
+				}
+
+				ref := arbiter.NewRoundRobin(ne)
+				if ptr := n.advoqRR.Pointer(); ptr > 0 {
+					ref.Served(ptr - 1)
+				}
+				perDest, _ := n.disc.(core.DestOccupancy)
+				stalled := false
+				want := ref.Pick(func(i int) bool {
+					h := n.advoqs[i].Head()
+					if h == nil {
+						return false
+					}
+					if perDest != nil && perDest.DestBytes(i) > 0 {
+						return false
+					}
+					if n.throttler != nil && !n.throttler.MayInject(i, now) {
+						stalled = true
+						return false
+					}
+					return n.disc.Fits(h.Size)
+				})
+				wantStalls := n.stats.ThrottleStalls
+				if want < 0 && stalled {
+					wantStalls++
+				}
+
+				got := n.pickAdVOQ(now)
+				if got != want || n.advoqRR.Pointer() != ref.Pointer() || n.stats.ThrottleStalls != wantStalls {
+					t.Fatalf("%s/%d endpoints, step %d: pick %d ptr %d stalls %d, scan says %d ptr %d stalls %d",
+						name, ne, it, got, n.advoqRR.Pointer(), n.stats.ThrottleStalls, want, ref.Pointer(), wantStalls)
+				}
+				if got >= 0 {
+					pk := n.popAdVOQ(got)
+					if n.disc.Fits(pk.Size) && rng.Intn(2) == 0 {
+						n.disc.Enqueue(pk, -1)
+					}
+				}
+				walk := n.disc.UsedBytes()
+				for _, q := range n.advoqs {
+					walk += q.Bytes()
+				}
+				if b := n.BufferedBytes(); b != walk {
+					t.Fatalf("%s/%d endpoints, step %d: BufferedBytes %d, queues hold %d", name, ne, it, b, walk)
+				}
+			}
+		}
+	}
 }

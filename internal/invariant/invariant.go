@@ -10,7 +10,8 @@
 // before failing, so a wedged run explains itself instead of timing
 // out silently.
 //
-// The checker is strictly read-only and self-pacing: it sleeps its
+// The checker reads state (it only settles sleeping switches' elided-
+// cycle counters, see catchUp) and is self-pacing: it sleeps its
 // ticker between checks and re-arms with a scheduled wake, so the
 // engine's idle fast-forward still works and a checked run is
 // cycle-identical to an unchecked one. The golden-digest tests run
@@ -145,7 +146,10 @@ func Detached(eng *sim.Engine, cfg Config) *Checker {
 // CheckAt runs one full audit at cycle now. Only detached checkers use
 // it (attached ones pace themselves); the caller is responsible for
 // invoking it at quiescent points, roughly every CheckEvery cycles.
-func (c *Checker) CheckAt(now sim.Cycle) { c.check(now) }
+func (c *Checker) CheckAt(now sim.Cycle) {
+	c.catchUp(now - 1)
+	c.check(now)
+}
 
 // CheckEvery returns the configured audit interval, for callers pacing
 // a detached checker.
@@ -175,9 +179,20 @@ func (c *Checker) Violations() int { return c.violations }
 // between checks keeps the engine's idle fast-forward intact — the
 // wake event is the only trace the checker leaves on the schedule.
 func (c *Checker) tick(now sim.Cycle) {
+	c.catchUp(now)
 	c.check(now)
 	c.handle.Sleep()
 	c.eng.Schedule(now+c.cfg.CheckEvery, c.handle)
+}
+
+// catchUp settles sleeping switches through cycle `through` (the last
+// cycle whose ticks have run) so the snapshot shows the CAM lines'
+// LastActive a ticking switch would have. It writes only the values
+// ticking would have written, so the audit stays outcome-neutral.
+func (c *Checker) catchUp(through sim.Cycle) {
+	for _, sw := range c.cfg.Switches {
+		sw.CatchUp(through)
+	}
 }
 
 // ledger sums the conservation equation's three terms.

@@ -236,8 +236,8 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 			ba.SetRemote(mba)
 			n.mailboxes = append(n.mailboxes, mab, mba)
 		}
-		ab.SetDropHandler(n.dropHandler(poolAB, n.shardPool[n.shardOfDevice(ls.DevA)]))
-		ba.SetDropHandler(n.dropHandler(poolBA, n.shardPool[n.shardOfDevice(ls.DevB)]))
+		ab.SetDropHandler(n.dropHandler(n.ctlRx(ls.DevA, ls.PortA), n.shardPool[n.shardOfDevice(ls.DevA)]))
+		ba.SetDropHandler(n.dropHandler(n.ctlRx(ls.DevB, ls.PortB), n.shardPool[n.shardOfDevice(ls.DevB)]))
 	}
 
 	if !opt.DisableInvariants {
@@ -304,14 +304,14 @@ func (n *Network) PartitionInfo() *Partition { return n.part }
 // dropHandler builds the lossless-aware consumer for packets condemned
 // by a drop-policy link flap on h: the sender already took credit for
 // receive-buffer space the packet will never occupy, so the credit is
-// refunded at the sender-side pool, and the packet (owned by the wire
-// at that point) is released into the sending shard's free-list. Both
-// pools are captured at wiring time — no map lookup on the drop path.
-func (n *Network) dropHandler(credits *core.CreditPool, pp *pkt.Pool) func(*pkt.Packet) {
+// refunded through the sender port's control receiver (exactly as if
+// the receiver had returned it, which also wakes a sleeping switch),
+// and the packet (owned by the wire at that point) is released into
+// the sending shard's free-list. Both are captured at wiring time — no
+// map lookup on the drop path.
+func (n *Network) dropHandler(sender link.ControlReceiver, pp *pkt.Pool) func(*pkt.Packet) {
 	return func(p *pkt.Packet) {
-		if credits != nil {
-			credits.Give(p.Dst, p.Size)
-		}
+		sender.ReceiveControl(link.Control{Kind: link.Credit, Bytes: p.Size, Dest: p.Dst})
 		pp.Release(p)
 	}
 }
@@ -526,8 +526,11 @@ func (n *Network) NewPacket(src, dst, flow int) *pkt.Packet {
 	return p
 }
 
-// Run advances the simulation by d cycles.
+// Run advances the simulation by d cycles. On return every switch's
+// counters and CAM lines are caught up through the last cycle run, so
+// callers may read them whether or not a switch is asleep.
 func (n *Network) Run(d sim.Cycle) {
+	defer n.catchUp()
 	if n.par == nil {
 		n.Eng.RunFor(d)
 		return
@@ -540,6 +543,14 @@ func (n *Network) Run(d sim.Cycle) {
 		merged.Merge(c)
 	}
 	n.Collector = merged
+}
+
+// catchUp settles every sleeping switch through the last cycle run.
+func (n *Network) catchUp() {
+	last := n.Eng.Now() - 1
+	for _, sw := range n.Switches {
+		sw.CatchUp(last)
+	}
 }
 
 // RunMS advances the simulation by ms milliseconds of simulated time.

@@ -104,8 +104,9 @@ func (a event) before(b event) bool {
 // Ticker is a component that does per-cycle work in one phase. Tickers
 // register with AddTicker and are called once per cycle, in registration
 // order, while awake; a sleeping ticker is skipped entirely. Components
-// must only sleep when their tick would be a no-op, so that eliding it
-// cannot change simulated outcomes.
+// must only sleep when their tick would be a no-op (or would only bump
+// per-cycle counters they restore on waking), so that eliding it cannot
+// change simulated outcomes.
 type Ticker interface {
 	Tick(now Cycle)
 }

@@ -9,6 +9,7 @@ package switchfab
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arbiter"
 	"repro/internal/core"
@@ -53,11 +54,32 @@ type Switch struct {
 	// where islip.Requested(input, output) holds
 	cand [][]core.Request
 
-	// Tick handles: the switch sleeps while every input discipline is
-	// quiescent and every output stage is empty (nothing queued, nothing
-	// crossing the crossbar, no CAM housekeeping pending).
+	// iso[i] is input port i's isolation unit (nil under the other
+	// disciplines): the deadline and catch-up hooks live there.
+	iso []*core.IsolationUnit
+
+	// Tick handles and the sleep contract (DESIGN.md, hot path): a tick
+	// that changes no state sleeps the switch until the earliest cycle
+	// a time-dependent predicate can flip (deadline) or an input wakes
+	// it; the elided cycles' per-cycle counters are caught up on wake.
 	hPost, hArb, hUpd *sim.TickerHandle
+	// changes counts this cycle's state changes made by the ticks
+	// themselves (reset in post, tested in update).
+	changes int
+	// stallMark is stats.CreditStalls when this cycle's ticks began.
+	stallMark int
+	asleep    bool
+	// sleptAt is the no-op cycle every elided cycle repeats; idleStalls
+	// its credit-stall count; settled the last elided cycle accounted.
+	sleptAt, settled sim.Cycle
+	idleStalls       int
+	// wakeAt is the latest scheduled deadline wake-up (pending while it
+	// lies after now).
+	wakeAt sim.Cycle
 }
+
+// never is the deadline of a switch with no time-dependent predicate.
+const never = sim.Cycle(math.MaxInt64)
 
 type inPort struct {
 	s         *Switch
@@ -125,12 +147,15 @@ func New(eng *sim.Engine, id int, name string, nports int, p *core.Params, route
 	}
 	s.in = make([]*inPort, nports)
 	s.out = make([]*outPort, nports)
+	s.iso = make([]*core.IsolationUnit, nports)
 	for i := 0; i < nports; i++ {
 		ip := &inPort{s: s, idx: i}
 		ip.disc = core.NewQDisc(p, portEnv{s: s, port: i}, nports, numEndpoints)
 		ip.rr = arbiter.NewRoundRobin(ip.disc.QueueCount())
 		if iso, ok := ip.disc.(*core.IsolationUnit); ok {
 			iso.SetTraceLabel(fmt.Sprintf("%s:p%d", name, i))
+			iso.TrackChanges(&s.changes)
+			s.iso[i] = iso
 		}
 		s.in[i] = ip
 		s.out[i] = &outPort{
@@ -150,29 +175,99 @@ func New(eng *sim.Engine, id int, name string, nports int, p *core.Params, route
 	return s
 }
 
-// wake puts the switch back on the engine's active lists (idempotent).
+// wake puts a sleeping switch back on the engine's active lists,
+// first accounting the cycles it slept through. Every external mutator
+// of switch state (arrival, crossbar landing, control message, credit
+// refund, stall) calls it before mutating.
 func (s *Switch) wake() {
+	if !s.asleep {
+		return
+	}
+	s.CatchUp(s.eng.Now() - 1)
+	s.asleep = false
 	s.hPost.Wake()
 	s.hArb.Wake()
 	s.hUpd.Wake()
 }
 
-// idle reports whether every tick would be a no-op: all input
-// disciplines quiescent, no staged or in-flight crossbar transfers.
-// Credit and CAM control arrivals are handled inline by ReceiveControl
-// and need no ticks, so they do not keep a switch awake.
-func (s *Switch) idle() bool {
+// Fire implements sim.Handler: a scheduled deadline wake-up. A stale
+// one (the switch woke earlier for another reason) at worst costs one
+// no-op tick.
+func (s *Switch) Fire() { s.wake() }
+
+// CatchUp accounts the cycles a sleeping switch has elided, through
+// cycle `through`, exactly as ticking them would have: each repeated
+// the no-op cycle it fell asleep in, so it added that cycle's credit
+// stalls, repeated any lazy-allocation CAM exhaustion, and kept every
+// non-empty CFQ's LastActive current. Wake-ups call it; so do readers
+// of counters or CAM lines while the switch may be asleep (end of
+// Network.Run, the invariant checker). It is a no-op on an awake
+// switch and never moves backwards.
+func (s *Switch) CatchUp(through sim.Cycle) {
+	k := through - s.settled
+	if !s.asleep || k <= 0 {
+		return
+	}
+	s.stats.CreditStalls += int(k) * s.idleStalls
+	for _, u := range s.iso {
+		if u != nil {
+			u.CatchUp(s.sleptAt, through, int(k))
+		}
+	}
+	s.settled = through
+}
+
+// sleep ends a tick that changed nothing: unless something can change
+// next cycle, the switch sleeps and schedules one wake-up at its
+// deadline (none when nothing time-dependent is pending, in which case
+// only an input wakes it).
+func (s *Switch) sleep(now sim.Cycle) {
+	at := s.deadline(now)
+	if at == now+1 {
+		return
+	}
+	s.hPost.Sleep()
+	s.hArb.Sleep()
+	s.hUpd.Sleep()
+	s.asleep = true
+	s.sleptAt, s.settled = now, now
+	s.idleStalls = s.stats.CreditStalls - s.stallMark
+	if at != never && (s.wakeAt <= now || at < s.wakeAt) {
+		s.wakeAt = at
+		s.eng.Schedule(at, s)
+	}
+}
+
+// deadline returns the earliest cycle after the no-op cycle now at
+// which a tick can act without new input: a busy link under a staged
+// packet freeing, the end of a stall, or an isolation unit's detection
+// retry or hold-down expiry (never when none). An input port whose
+// crossbar is busy needs no deadline: its transfer lands, and wakes the
+// switch, in the very cycle the port may request again. A staged packet
+// on a downed link keeps the switch awake: a link coming back up does
+// not wake it.
+func (s *Switch) deadline(now sim.Cycle) sim.Cycle {
+	at := never
+	if s.stalledUntil > now {
+		at = s.stalledUntil
+	}
+	for _, u := range s.iso {
+		if u != nil {
+			at = u.NextChange(now, at)
+		}
+	}
 	for _, op := range s.out {
-		if len(op.stage) > 0 || op.inflight > 0 {
-			return false
+		if len(op.stage) == 0 {
+			continue
+		}
+		if op.tx.Down() {
+			return now + 1
+		}
+		if t := op.tx.FreeAt(); t > now && t < at {
+			at = t
 		}
 	}
-	for _, ip := range s.in {
-		if !ip.disc.Quiescent() {
-			return false
-		}
-	}
-	return true
+	return at
 }
 
 // ID returns the switch's device id.
@@ -217,23 +312,24 @@ func (s *Switch) PacketReceiver(i int) link.PacketReceiver { return s.in[i] }
 // ControlReceiver returns the sink for control arriving at port i.
 func (s *Switch) ControlReceiver(i int) link.ControlReceiver { return s.out[i] }
 
-// post runs the per-port post-processing phase.
+// post runs the per-port post-processing phase. It opens the cycle's
+// change count, which update tests.
 func (s *Switch) post(now sim.Cycle) {
+	s.changes = 0
+	s.stallMark = s.stats.CreditStalls
 	for _, ip := range s.in {
 		ip.disc.Post(now)
 	}
 }
 
 // update runs the per-port housekeeping phase, then sleeps the switch
-// when it is provably idle; packet arrivals wake it again.
+// when the cycle's ticks changed nothing.
 func (s *Switch) update(now sim.Cycle) {
 	for _, ip := range s.in {
 		ip.disc.Update(now)
 	}
-	if s.idle() {
-		s.hPost.Sleep()
-		s.hArb.Sleep()
-		s.hUpd.Sleep()
+	if s.changes == 0 {
+		s.sleep(now)
 	}
 }
 
@@ -299,6 +395,7 @@ func (op *outPort) drain(now sim.Cycle) {
 	copy(op.stage, op.stage[1:])
 	op.stage = op.stage[:len(op.stage)-1]
 	op.tx.Send(now, st.p, st.cfq)
+	op.s.changes++
 }
 
 // better reports whether request a should replace b as input ip's
@@ -321,6 +418,7 @@ func (s *Switch) start(now sim.Cycle, ip *inPort, op *outPort, r core.Request) {
 		panic(fmt.Sprintf("switchfab: %s popped %v, granted %v", s.name, p, r.Pkt))
 	}
 	ip.rr.Served(r.QID)
+	s.changes++
 	op.credits.Take(p.Dst, p.Size)
 	if op.mark.MaybeMark(p) {
 		s.stats.Marked++
@@ -348,6 +446,7 @@ func (s *Switch) start(now sim.Cycle, ip *inPort, op *outPort, r core.Request) {
 // (they only queue), so buffers fill and backpressure propagates
 // upstream exactly as a real hung switch would cause.
 func (s *Switch) Stall(d sim.Cycle) {
+	s.wake()
 	if until := s.eng.Now() + d; until > s.stalledUntil {
 		s.stalledUntil = until
 	}
@@ -436,12 +535,12 @@ func (s *Switch) describeRequest(now sim.Cycle, r core.Request) string {
 // Fire implements sim.Handler: the port's crossbar transfer lands in
 // its output stage.
 func (ip *inPort) Fire() {
+	ip.s.wake()
 	op, st := ip.xferOut, ip.xferPkt
 	ip.xferOut, ip.xferPkt = nil, staged{}
 	op.inflight--
 	op.inflightBytes -= st.p.Size
 	op.stage = append(op.stage, st)
-	ip.s.wake() // defensive: the staged packet needs drain ticks
 }
 
 // ReceivePacket implements link.PacketReceiver for an input port.
@@ -451,8 +550,10 @@ func (ip *inPort) ReceivePacket(p *pkt.Packet, cfq int) {
 }
 
 // ReceiveControl implements link.ControlReceiver for an output port:
-// credits and the downstream CFQ protocol.
+// credits (returned by the neighbor, or refunded for a packet a link
+// flap dropped) and the downstream CFQ protocol.
 func (op *outPort) ReceiveControl(m link.Control) {
+	op.s.wake()
 	if m.Kind == link.Credit {
 		op.credits.Give(m.Dest, m.Bytes)
 		return
@@ -461,8 +562,8 @@ func (op *outPort) ReceiveControl(m link.Control) {
 	if m.Kind == link.CFQAlloc {
 		// The congested point is now known to be at least one hop
 		// below: input CFQs feeding this output stop being tree roots.
-		for _, ip := range op.s.in {
-			if iso, ok := ip.disc.(*core.IsolationUnit); ok {
+		for _, iso := range op.s.iso {
+			if iso != nil {
 				iso.DemoteRoot(op.idx, m.Dests)
 			}
 		}
@@ -490,12 +591,14 @@ func (e portEnv) OutCredits(out, dest int) int {
 }
 
 func (e portEnv) NotifyUpstream(m link.Control) {
+	e.s.changes++
 	if tx := e.s.out[e.port].tx; tx != nil {
 		tx.SendControl(e.s.eng.Now(), m)
 	}
 }
 
 func (e portEnv) MarkCrossed(out int, above bool) {
+	e.s.changes++
 	e.s.out[out].mark.Crossed(above)
 }
 

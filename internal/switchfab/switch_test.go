@@ -330,3 +330,87 @@ func TestConstructorValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestSleepElidesNoOpCyclesExactly: a switch that cannot move anything
+// sleeps instead of re-deriving the same verdict every cycle, and its
+// deliveries and caught-up counters match a switch woken before every
+// cycle (which never elides one). Scenarios: blocked on credits, and a
+// crossbar faster than the link, so staged packets wait for the link.
+func TestSleepElidesNoOpCyclesExactly(t *testing.T) {
+	for _, sc := range []struct {
+		name          string
+		xbar, credits int
+	}{{"credit-blocked", 64, 2 * pkt.MTU}, {"link-bound", 256, 64 << 10}} {
+		run := func(everyCycle bool) (*Switch, []*peer, int) {
+			eng, sw, peers := rig(t, core.Preset1Q(), 3, sc.xbar, sc.credits)
+			var g pkt.IDGen
+			for i := 0; i < 6; i++ {
+				sw.PacketReceiver(i%2).ReceivePacket(pkt.NewData(&g, 9, 2, 0, pkt.MTU, 0), -1)
+			}
+			ticked := 0
+			for eng.Now() < 3000 {
+				if everyCycle {
+					sw.Fire()
+				}
+				if sw.hArb.Awake() {
+					ticked++
+				}
+				eng.Step()
+			}
+			sw.CatchUp(eng.Now() - 1)
+			return sw, peers, ticked
+		}
+		ref, refPeers, refTicked := run(true)
+		sw, peers, ticked := run(false)
+		if *sw.Stats() != *ref.Stats() {
+			t.Errorf("%s: stats %+v, every-cycle switch %+v", sc.name, *sw.Stats(), *ref.Stats())
+		}
+		if got, want := peers[2].at, refPeers[2].at; len(got) != len(want) || len(got) == 0 {
+			t.Errorf("%s: delivered at %v, every-cycle switch at %v", sc.name, got, want)
+		} else {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%s: delivered at %v, every-cycle switch at %v", sc.name, got, want)
+					break
+				}
+			}
+		}
+		if ticked*4 > refTicked {
+			t.Errorf("%s: ticked %d of %d cycles; a blocked switch should sleep", sc.name, ticked, refTicked)
+		}
+	}
+}
+
+// TestExternalMutatorsWakeSleepingSwitch: every input that can change
+// what a sleeping switch would do wakes it first — a credit, any CFQ
+// protocol message, a stall and a packet arrival.
+func TestExternalMutatorsWakeSleepingSwitch(t *testing.T) {
+	eng, sw, _ := rig(t, core.PresetCCFIT(), 2, 64, 2*pkt.MTU)
+	var g pkt.IDGen
+	arrive := func() {
+		sw.PacketReceiver(0).ReceivePacket(pkt.NewData(&g, 9, 1, 0, pkt.MTU, 0), -1)
+	}
+	for i := 0; i < 4; i++ {
+		arrive()
+	}
+	for _, wake := range []struct {
+		name string
+		fn   func()
+	}{
+		{"credit", func() {
+			sw.ControlReceiver(1).ReceiveControl(link.Control{Kind: link.Credit, Bytes: 64, Dest: 1})
+		}},
+		{"cfq-stop", func() { sw.ControlReceiver(1).ReceiveControl(link.Control{Kind: link.CFQStop, CFQ: 0}) }},
+		{"stall", func() { sw.Stall(5) }},
+		{"arrival", arrive},
+	} {
+		eng.RunFor(500)
+		if sw.hArb.Awake() {
+			t.Fatalf("before %s: blocked switch still ticking", wake.name)
+		}
+		wake.fn()
+		if !sw.hPost.Awake() || !sw.hArb.Awake() || !sw.hUpd.Awake() {
+			t.Fatalf("%s did not wake the switch", wake.name)
+		}
+	}
+}
